@@ -48,17 +48,19 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # Kernel micro-benchmarks (field multiply / exponentiation, scalar vs
-# flat-batch hash kernels, count-sketch hot paths, the PR-3 Nisan
-# prefix-stack PRG kernel and transposed syndrome kernel) at a benchtime
-# large enough to be meaningful in CI; the zero-allocation contract is
-# enforced by the accompanying tests, the numbers land in the job log.
-# BENCH_PR2.json / BENCH_PR3.json / BENCH_PR4.json hold the committed
-# baseline-vs-after snapshots. bench-query (the PR-4 query-side suite) is
-# part of the umbrella.
+# flat-batch hash kernels, count-sketch hot paths and decode, the Nisan
+# PRG's table-composed walk — block runs, batch access and the table build
+# — and the transposed syndrome kernel) at a benchtime large enough to be
+# meaningful in CI; the zero-allocation contract is enforced by the
+# accompanying tests, the numbers land in the job log. The BENCH_PR*.json
+# files hold the committed baseline-vs-after snapshots. bench-query (the
+# PR-4 query-side suite) is part of the umbrella, and so is the Lp absorb
+# layer at the sketchd tenant shape (BenchmarkLpSamplerProcessBatch).
 microbench: bench-query bench-codec bench-serve
-	$(GO) test -run '^$$' -bench 'Mul$$|Pow|Eval|Scalar|Batch|Block' -benchtime 1000x \
+	$(GO) test -run '^$$' -bench 'Mul$$|Pow|Eval|Scalar|Batch|Block|Walk|Decode' -benchtime 1000x \
 		./internal/field ./internal/hash ./internal/countsketch \
 		./internal/prng ./internal/sparse
+	$(GO) test -run '^$$' -bench 'LpSamplerProcessBatch' -benchtime 300x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernel' -benchtime 1000x ./internal/kernel
 
 # Wire-format microbenchmarks: raw codec framing throughput, per-kind
@@ -94,18 +96,22 @@ serve-e2e:
 	$(GO) test -count 1 -run 'TestSketchd|TestWorkloadPushBinary' ./integration
 
 # The L0 fast-path benchmarks (the PR-3 headline): the 1M-update serial and
-# engine ingest through the Theorem 2 sampler, plus the prng/sparse kernels
+# engine ingest through the Theorem 2 sampler, the absorb layer alone at the
+# sketchd shape (BenchmarkL0SamplerProcessBatch: n = 2^16, 2048-update
+# batches; also in the bench-gate set), plus the prng/sparse kernels
 # underneath and the graphsketch edge-ingest path built on top.
 bench-l0:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestL0' -benchtime 2x .
-	$(GO) test -run '^$$' -bench 'Block' -benchtime 100000x ./internal/prng
+	$(GO) test -run '^$$' -bench 'BenchmarkL0SamplerProcessBatch$$' -benchtime 500x .
+	$(GO) test -run '^$$' -bench 'Block|Walk' -benchtime 100000x ./internal/prng
 	$(GO) test -run '^$$' -bench 'ProcessBatchS10|ProcessScalarS10' -benchtime 2000x ./internal/sparse
 	$(GO) test -run '^$$' -bench 'GraphIngest' -benchtime 20x ./internal/graphsketch
 
 # Query-side benchmarks (the PR-4 headline): memoized vs dirty L0 sampling,
 # the finite-difference recovery scan, and the end-to-end graphsketch
-# connectivity and duplicates queries built on top (the root BenchmarkQuery*
-# suite).
+# connectivity and duplicates queries built on top, plus the Lp read path
+# on a freshly loaded sketch (the root BenchmarkQuery* suite;
+# BenchmarkQueryLpSampleLoaded is also in the bench-gate set).
 bench-query:
 	$(GO) test -run '^$$' -bench 'L0SamplerSample' -benchtime 200x ./internal/core
 	$(GO) test -run '^$$' -bench 'RecoverScan|RecoverS8N4096' -benchtime 200x ./internal/sparse

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	streamsample "repro"
 	"repro/internal/core"
 	"repro/internal/countsketch"
 	"repro/internal/duplicates"
@@ -205,6 +206,23 @@ func BenchmarkIngestEngineSkew(b *testing.B) {
 	reportThroughput(b, len(skewStream))
 }
 
+// BenchmarkL0SamplerProcessBatch is the L0 absorb layer alone at the
+// sketchd shape: one n = 2^16 sampler (default δ) taking 2048-update
+// batches, the frame size of the serving benchmark's raw-bulk workload. One
+// op is one batch; ns/update is the per-update absorb cost the serving
+// ledger reports as l0.absorb_ns_per_update.
+func BenchmarkL0SamplerProcessBatch(b *testing.B) {
+	const batch, batches = 2048, 64
+	st := stream.RandomTurnstile(ingestN, batch*batches, 100, rand.New(rand.NewPCG(23, 31)))
+	sk := core.NewL0Sampler(core.L0Config{N: ingestN, Delta: 0.2}, rand.New(rand.NewPCG(7, 11)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % batches * batch
+		sk.ProcessBatch(st[off : off+batch])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/update")
+}
+
 // ---------------------------------------------------------------------------
 // Query-side throughput: repeated decodes on ingested sketches.
 // ---------------------------------------------------------------------------
@@ -220,6 +238,30 @@ func BenchmarkQueryL0Sample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sk.Sample()
+	}
+}
+
+// BenchmarkQueryLpSampleLoaded is the Lp read path of the serving tier: a
+// Sample on a freshly loaded sketch (sketchd's tenants-mixed Lp tenant
+// shape: p = 1, n = 2^12, default ε/δ/copies), so every repetition runs
+// its full recovery stage with nothing memoized. Load is off the clock.
+func BenchmarkQueryLpSampleLoaded(b *testing.B) {
+	const n = 1 << 12
+	sk := streamsample.NewLpSampler(1, n, streamsample.WithSeed(5))
+	stream.RandomTurnstile(n, 20_000, 100, rand.New(rand.NewPCG(9, 13))).FeedBatch(64, sk)
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		loaded, err := streamsample.Load(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		loaded.(*streamsample.LpSampler).Sample()
 	}
 }
 

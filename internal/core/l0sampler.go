@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/field"
+	"repro/internal/kernel"
 	"repro/internal/prng"
 	"repro/internal/sparse"
 	"repro/internal/stream"
@@ -28,11 +29,16 @@ type L0Config struct {
 	// nested reading I_1 ⊆ I_2 ⊆ ... ⊆ I_K: one PRG block u_i per
 	// coordinate decides every level at once via the dyadic thresholds
 	// "i ∈ I_k iff u_i < 2^k/n · Modulus". Membership still holds
-	// per-coordinate with probability ~2^k/n at every level, but one tree
-	// walk replaces ⌊log n⌋ of them per update, and the PRG only has to
-	// stretch to n blocks instead of n log n.
+	// per-coordinate with probability ~2^k/n at every level, but one block
+	// replaces ⌊log n⌋ of them per update, and the PRG only has to stretch
+	// to n blocks instead of n log n.
 	NestedLevels bool
 }
+
+// ingestChunk is the number of updates the batched ingest resolves at a
+// time: the root, block and level sub-batch scratch are sized to it once,
+// whatever the batch size.
+const ingestChunk = 512
 
 // L0Sampler samples a uniformly random element of the support of x, together
 // with the exact value x_i (sparse recovery is exact, hence "zero relative
@@ -49,10 +55,14 @@ type L0Config struct {
 // PRG with an O(log² n)-bit seed, exactly as the derandomization step of
 // Theorem 2 prescribes. Membership is decided per (level, coordinate) by
 // comparing a raw 61-bit PRG block against a precomputed integer threshold
-// T_k with T_k/Modulus ~ 2^k/n — no float division on the update path — and
-// the per-update blocks are fetched through the generator's prefix-sharing
-// batch kernel: the blocks of one update live at consecutive addresses
-// i·stride + (k-1), so one partial tree walk serves all levels.
+// T_k with T_k/Modulus ~ 2^k/n — no float division on the update path. The
+// blocks of one update live at consecutive addresses i·stride + (k-1), so
+// one partial tree walk serves all levels: the generator's walk tables give
+// the shared root r_i (the walk state after the address bits of i) in one
+// lookup plus a few mul-adds, and level k's block is the composed low-bit
+// map A_k·r_i + B_k. Ingest runs level-major over fixed-size chunks of the
+// batch — one root per update, then per level one vectorized degree-1
+// evaluation over the roots and an integer compare.
 //
 // With NestedLevels the sets are nested as in the paper's original
 // formulation (one block per coordinate, dyadic thresholds); the default
@@ -69,19 +79,28 @@ type L0Sampler struct {
 	thresholds []uint64
 	// stride is the number of PRG blocks reserved per coordinate in the
 	// default i.i.d. mode: the next power of two above the number of
-	// PRG-tested levels, so one update's blocks share their high address
-	// bits (and hence their h_j prefix applications) maximally.
+	// PRG-tested levels, so one update's blocks share every address bit
+	// above log2(stride) — and hence one walk-table root.
 	stride uint64
 	// sampleBase is the first PRG block reserved for Sample's uniform
 	// support choices — block sampleBase+k serves recovery level k.
 	sampleBase uint64
 
-	// Reusable scratch for the batched paths (grown once, then steady
-	// state allocates nothing): per-update block addresses and values,
-	// and one membership-filtered sub-batch per tested level.
-	idxScratch []uint64
-	blkScratch []uint64
-	lvlBufs    [][]stream.Update
+	// walk holds the PRG's composed walk tables for the membership
+	// addresses (log2 stride low bits in i.i.d. mode, none in nested mode)
+	// and leafCoef the per-level low-bit maps as (B_k, A_k) coefficient
+	// pairs for kernel.PolyEvalBatch. Both are working memory derived from
+	// the seed, built on the first ingest (so a Load that never ingests
+	// never pays for them), never serialized and not counted in SpaceBits.
+	walk     *prng.Walk
+	leafCoef []uint64
+
+	// Fixed-size ProcessBatch scratch (ingestChunk entries each, allocated
+	// on the first batch): per-update roots, one level's blocks, and one
+	// level's membership-filtered sub-batch. Steady state allocates nothing.
+	roots  []uint64
+	blks   []uint64
+	lvlBuf []stream.Update
 
 	// Query-side memoization: Sample's outcome is cached until the next
 	// mutation (Process/ProcessBatch/Merge/ImportState). Per-level decodes
@@ -144,11 +163,6 @@ func NewL0Sampler(cfg L0Config, r *rand.Rand) *L0Sampler {
 	for k := range l.levels {
 		l.levels[k] = sparse.New(cfg.N, s, r)
 	}
-	if K > 0 {
-		l.idxScratch = make([]uint64, K)
-		l.blkScratch = make([]uint64, K)
-	}
-	l.lvlBufs = make([][]stream.Update, numLevels)
 	return l
 }
 
@@ -163,64 +177,78 @@ func (l *L0Sampler) Levels() int { return len(l.levels) }
 // assignment.
 func (l *L0Sampler) NestedLevels() bool { return l.nested }
 
-// memberBlocks fills l.blkScratch with the membership blocks governing
-// coordinate i at tested levels 1..K (blkScratch[k-1] decides level k) and
-// returns the slice. In i.i.d. mode these are the K consecutive blocks at
-// i·stride, one fresh draw per level; in nested mode the single block at
-// address i is replicated, realizing the nested sets.
-func (l *L0Sampler) memberBlocks(i int) []uint64 {
-	K := len(l.levels) - 1
-	blks := l.blkScratch[:K]
-	if l.nested {
-		idx := l.idxScratch[:1]
-		idx[0] = uint64(i)
-		l.gen.BlockBatch(blks[:1], idx)
-		for t := 1; t < K; t++ {
-			blks[t] = blks[0]
-		}
-		return blks
-	}
-	idx := l.idxScratch[:K]
-	base := uint64(i) * l.stride
-	for t := range idx {
-		idx[t] = base + uint64(t)
-	}
-	l.gen.BlockBatch(blks, idx)
-	return blks
-}
-
-// member reports whether coordinate i belongs to I_k. Level 0 is all of [n].
+// member reports whether coordinate i belongs to I_k, straight from the
+// per-bit block definition: the block at i·stride + (k-1) in i.i.d. mode,
+// the block at i for every level in nested mode (the same block against
+// each level's threshold realizes the nested sets). Level 0 is all of [n].
 func (l *L0Sampler) member(k, i int) bool {
 	if k == 0 {
 		return true
 	}
-	return l.memberBlocks(i)[k-1] < l.thresholds[k]
+	addr := uint64(i)
+	if !l.nested {
+		addr = addr*l.stride + uint64(k-1)
+	}
+	return l.gen.Block(addr) < l.thresholds[k]
+}
+
+// tables returns the membership walk tables, building them on first use. A membership address splits as
+// hi = i over low = log2(stride) bits holding k-1 (nested: low = 0), so
+// Root(i) is shared by all of i's blocks and level k's block is
+// Leaf(k-1).Apply(Root(i)).
+func (l *L0Sampler) tables() *prng.Walk {
+	if l.walk != nil {
+		return l.walk
+	}
+	K := len(l.levels) - 1
+	low := 0
+	if !l.nested {
+		low = bits.TrailingZeros64(l.stride)
+	}
+	l.walk = l.gen.NewWalk(low)
+	if !l.nested {
+		l.leafCoef = make([]uint64, 2*K)
+		for k := 1; k <= K; k++ {
+			f := l.walk.Leaf(uint64(k - 1))
+			l.leafCoef[2*(k-1)], l.leafCoef[2*(k-1)+1] = uint64(f.B), uint64(f.A)
+		}
+	}
+	return l.walk
 }
 
 // Process implements stream.Sink: the update reaches the recoverer of every
-// level whose subset contains the coordinate. One prefix-stack walk fetches
-// all membership blocks; levels are then integer-threshold compares.
+// level whose subset contains the coordinate. One root from the walk
+// tables serves all levels; each level is then one mul-add (i.i.d. mode)
+// and an integer-threshold compare.
 func (l *L0Sampler) Process(u stream.Update) {
 	l.queryValid = false
 	l.levels[0].Process(u)
-	if len(l.levels) == 1 {
+	K := len(l.levels) - 1
+	if K == 0 {
 		return
 	}
-	blks := l.memberBlocks(u.Index)
-	for t, blk := range blks {
-		if blk < l.thresholds[t+1] {
-			l.levels[t+1].Process(u)
+	root := l.tables().Root(uint64(u.Index))
+	for k := 1; k <= K; k++ {
+		blk := uint64(root)
+		if !l.nested {
+			blk = uint64(l.walk.Leaf(uint64(k - 1)).Apply(root))
+		}
+		if blk < l.thresholds[k] {
+			l.levels[k].Process(u)
 		}
 	}
 }
 
-// ProcessBatch implements stream.BatchSink: update-major delivery. Level 0
-// consumes the whole batch directly; for the tested levels, each update's
-// membership blocks come from one batched PRG walk and the update is routed
-// into per-level sub-batches, which then flow through the recoverers'
-// transposed batch kernel. State matches repeated Process calls exactly
-// (field arithmetic is exact and per-level orders are preserved); nothing
-// allocates at steady state.
+// ProcessBatch implements stream.BatchSink, level-major over fixed-size
+// chunks of the batch. Level 0 consumes the whole batch directly. Per chunk,
+// each update's root comes from one walk-table lookup plus a few mul-adds;
+// then, for each tested level k, one kernel.PolyEvalBatch call evaluates
+// the level's low-bit map A_k·r + B_k over all roots (nested mode compares
+// the roots themselves), an integer-threshold compare filters the chunk
+// into the level's sub-batch, and the sub-batch flows through the
+// recoverer's transposed batch kernel. Each level's sub-batches keep batch
+// order and the field arithmetic is exact, so the state matches repeated
+// Process calls bit for bit; nothing allocates at steady state.
 func (l *L0Sampler) ProcessBatch(batch []stream.Update) {
 	if len(batch) == 0 {
 		return
@@ -231,22 +259,35 @@ func (l *L0Sampler) ProcessBatch(batch []stream.Update) {
 	if K == 0 {
 		return
 	}
-	bufs := l.lvlBufs
-	for k := 1; k <= K; k++ {
-		bufs[k] = bufs[k][:0]
+	w := l.tables()
+	if l.roots == nil {
+		l.roots = make([]uint64, ingestChunk)
+		l.blks = make([]uint64, ingestChunk)
+		l.lvlBuf = make([]stream.Update, 0, ingestChunk)
 	}
-	thresholds := l.thresholds
-	for _, u := range batch {
-		blks := l.memberBlocks(u.Index)
-		for t, blk := range blks {
-			if blk < thresholds[t+1] {
-				bufs[t+1] = append(bufs[t+1], u)
-			}
+	for len(batch) > 0 {
+		chunk := batch[:min(len(batch), ingestChunk)]
+		batch = batch[len(chunk):]
+		roots := l.roots[:len(chunk)]
+		for t, u := range chunk {
+			roots[t] = uint64(w.Root(uint64(u.Index)))
 		}
-	}
-	for k := 1; k <= K; k++ {
-		if len(bufs[k]) > 0 {
-			l.levels[k].ProcessBatch(bufs[k])
+		blks := roots
+		for k := 1; k <= K; k++ {
+			if !l.nested {
+				blks = l.blks[:len(chunk)]
+				kernel.PolyEvalBatch(l.leafCoef[2*(k-1):2*k], roots, blks)
+			}
+			thr := l.thresholds[k]
+			sub := l.lvlBuf[:0]
+			for t, blk := range blks {
+				if blk < thr {
+					sub = append(sub, chunk[t])
+				}
+			}
+			if len(sub) > 0 {
+				l.levels[k].ProcessBatch(sub)
+			}
 		}
 	}
 }

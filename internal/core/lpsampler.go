@@ -21,8 +21,14 @@
 //     uniformity experiment and the nested-mode distribution tests.
 //
 // In both modes membership is decided by integer threshold compares on raw
-// 61-bit blocks fetched through the PRG's prefix-sharing batch kernel — the
-// L0 ingestion fast path.
+// 61-bit blocks, and one partial tree walk serves all levels: an update's
+// blocks share every address bit above the level offset, so the PRG's
+// composed walk tables give that shared root in one lookup plus a few
+// mul-adds, and each level's block is one more affine map of it (the same
+// root for every level in nested mode). Ingest runs level-major over
+// fixed-size chunks of a batch — the L0 ingestion fast path. The tables are
+// working memory derived from the seed, built on first ingest, and neither
+// serialized nor counted in SpaceBits.
 package core
 
 import (

@@ -242,6 +242,24 @@ func BenchmarkLpSamplerProcess(b *testing.B) {
 	}
 }
 
+// BenchmarkLpSamplerProcessBatch is the Lp absorb layer at the sketchd
+// tenant shape (p = 1, n = 2^12, ε = 0.25, δ = 0.2, the default 13
+// repetitions) on 64-update batches, the serving benchmark's tenants-mixed
+// frame size: the k-wise scaling factors, count-sketch rows, 4-wise AMS
+// signs and the shared 8-wise p-stable sketch.
+func BenchmarkLpSamplerProcessBatch(b *testing.B) {
+	const n, batch, batches = 1 << 12, 64, 64
+	r := rand.New(rand.NewPCG(1, 1))
+	s := NewLpSampler(LpConfig{P: 1, N: n, Eps: 0.25, Delta: 0.2}, r)
+	st := stream.RandomTurnstile(n, batch*batches, 100, r)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i % batches * batch
+		s.ProcessBatch(st[off : off+batch])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/update")
+}
+
 func BenchmarkLpSamplerSample(b *testing.B) {
 	r := rand.New(rand.NewPCG(1, 1))
 	const n = 1 << 12

@@ -25,6 +25,7 @@ package countsketch
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -191,11 +192,38 @@ func (s *Sketch) Estimate(i uint64) float64 {
 // l = O(log n), so 64 covers any input a 64-bit index can address.
 const estimateStackRows = 64
 
-// Decode returns the full estimate vector x* for coordinates [0, n).
+// decodeChunk is the number of coordinates Decode resolves per pass over
+// the rows.
+const decodeChunk = 256
+
+// Decode returns the full estimate vector x* for coordinates [0, n),
+// row-major over chunks of coordinates: per row, one fused
+// hash.BucketSignBatch call yields the chunk's buckets and signs, and each
+// coordinate collects its signed cell; then each coordinate takes the
+// median of its row values exactly as Estimate does (same values, same row
+// order), so the vector is bit-identical to n Estimate calls.
 func (s *Sketch) Decode(n int) []float64 {
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Estimate(uint64(i))
+	rows := s.rows
+	keys := make([]uint64, decodeChunk)
+	bkt := make([]uint64, decodeChunk)
+	sgn := make([]float64, decodeChunk)
+	vals := make([]float64, decodeChunk*rows) // vals[t*rows+j]: row j of coordinate t
+	for base := 0; base < n; base += decodeChunk {
+		c := min(decodeChunk, n-base)
+		for t := range keys[:c] {
+			keys[t] = uint64(base + t)
+		}
+		for j := 0; j < rows; j++ {
+			hash.BucketSignBatch(s.h, s.g, j, s.buckets, keys[:c], bkt[:c], sgn[:c])
+			cells := s.cells[j]
+			for t, b := range bkt[:c] {
+				vals[t*rows+j] = sgn[t] * cells[b]
+			}
+		}
+		for t := 0; t < c; t++ {
+			out[base+t] = median(vals[t*rows : (t+1)*rows])
+		}
 	}
 	return out
 }
@@ -206,34 +234,74 @@ type TopEntry struct {
 	Estimate float64
 }
 
+// ranksAbove is Top's strict total order: larger |estimate| first, ties
+// broken by smaller index.
+func ranksAbove(a, b TopEntry) bool {
+	ea, eb := math.Abs(a.Estimate), math.Abs(b.Estimate)
+	if ea != eb {
+		return ea > eb
+	}
+	return a.Index < b.Index
+}
+
 // Top returns the entries of the best m-sparse approximation xhat of the
 // decoded vector: the m coordinates of largest |x*_i| (all of them if fewer
-// than m are nonzero), sorted by decreasing magnitude.
+// than m are nonzero), sorted by decreasing magnitude with ties broken by
+// increasing index. Selection keeps a bounded min-heap of the m best
+// entries seen (its root is the lowest-ranked survivor), so the nonzero
+// coordinates are never sorted in full; the order is strict, so the result
+// equals sorting everything and truncating to m.
 func (s *Sketch) Top(n, m int) []TopEntry {
 	ests := s.Decode(n)
-	entries := make([]TopEntry, 0, n)
+	if m < 0 {
+		m = 0
+	}
+	heap := make([]TopEntry, 0, min(m, n))
 	for i, e := range ests {
-		if e != 0 {
-			entries = append(entries, TopEntry{i, e})
+		if e == 0 {
+			continue
+		}
+		x := TopEntry{i, e}
+		if len(heap) < m {
+			heap = append(heap, x)
+			siftUp(heap, len(heap)-1)
+		} else if m > 0 && ranksAbove(x, heap[0]) {
+			heap[0] = x
+			siftDown(heap, 0)
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a].Estimate, entries[b].Estimate
-		if ea < 0 {
-			ea = -ea
+	sort.Slice(heap, func(a, b int) bool { return ranksAbove(heap[a], heap[b]) })
+	return heap
+}
+
+// siftUp and siftDown maintain h as a binary min-heap under ranksAbove:
+// every parent ranks below its children, so h[0] is the weakest entry.
+func siftUp(h []TopEntry, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ranksAbove(h[p], h[i]) {
+			return
 		}
-		if eb < 0 {
-			eb = -eb
-		}
-		if ea != eb {
-			return ea > eb
-		}
-		return entries[a].Index < entries[b].Index
-	})
-	if len(entries) > m {
-		entries = entries[:m]
+		h[p], h[i] = h[i], h[p]
+		i = p
 	}
-	return entries
+}
+
+func siftDown(h []TopEntry, i int) {
+	for {
+		low := i
+		if l := 2*i + 1; l < len(h) && ranksAbove(h[low], h[l]) {
+			low = l
+		}
+		if r := 2*i + 2; r < len(h) && ranksAbove(h[low], h[r]) {
+			low = r
+		}
+		if low == i {
+			return
+		}
+		h[i], h[low] = h[low], h[i]
+		i = low
+	}
 }
 
 // SpaceBits reports cells plus hash seeds at 64 bits per word, matching the

@@ -3,8 +3,10 @@ package countsketch
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/stream"
 	"repro/internal/vector"
 )
@@ -301,5 +303,85 @@ func TestAddBatchWideBitIdentical(t *testing.T) {
 					math.Float64bits(bv), math.Float64bits(sv))
 			}
 		}
+	}
+}
+
+// TestDecodeMatchesEstimate pins the row-major chunked Decode to the
+// per-coordinate Estimate definition, bit for bit, across chunk boundaries
+// and under every kernel variant.
+func TestDecodeMatchesEstimate(t *testing.T) {
+	r := rand.New(rand.NewPCG(71, 1))
+	s := New(8, 7, r)
+	const n = 2*decodeChunk + 37
+	for i := 0; i < 3000; i++ {
+		s.Add(r.Uint64N(n), r.NormFloat64()*10)
+	}
+	prev := kernel.Active()
+	t.Cleanup(func() { _ = kernel.Select(prev) })
+	for _, v := range kernel.Variants() {
+		if err := kernel.Select(v); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{0, 1, decodeChunk, n} {
+			got := s.Decode(m)
+			for i, e := range got {
+				if want := s.Estimate(uint64(i)); e != want {
+					t.Fatalf("%s: Decode(%d)[%d] = %v, Estimate = %v", v, m, i, e, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTopMatchesFullSort pins the bounded selection to the full sort it
+// replaced — |estimate| descending, then index ascending, truncated to m —
+// including ties in magnitude of either sign and m beyond the support.
+func TestTopMatchesFullSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(72, 1))
+	s := New(4, 5, r)
+	const n = 300
+	for i := 0; i < 200; i++ {
+		// Few distinct magnitudes so many estimates tie.
+		d := float64(r.IntN(4)+1) * float64(1-2*r.IntN(2))
+		s.Add(r.Uint64N(n), d)
+	}
+	ests := s.Decode(n)
+	var ref []TopEntry
+	for i, e := range ests {
+		if e != 0 {
+			ref = append(ref, TopEntry{i, e})
+		}
+	}
+	sort.Slice(ref, func(a, b int) bool {
+		ea, eb := math.Abs(ref[a].Estimate), math.Abs(ref[b].Estimate)
+		if ea != eb {
+			return ea > eb
+		}
+		return ref[a].Index < ref[b].Index
+	})
+	for _, m := range []int{0, 1, 2, 7, 24, len(ref), len(ref) + 5} {
+		got := s.Top(n, m)
+		want := ref[:min(m, len(ref))]
+		if len(got) != len(want) {
+			t.Fatalf("m=%d: %d entries, want %d", m, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("m=%d: entry %d = %+v, want %+v", m, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkDecode measures the full-vector decode behind every Lp query.
+func BenchmarkDecode(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 1))
+	s := New(32, 16, r)
+	for i := 0; i < 1000; i++ {
+		s.Add(r.Uint64N(4096), 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Decode(4096)
 	}
 }

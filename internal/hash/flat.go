@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"unsafe"
 
 	"repro/internal/field"
 	"repro/internal/kernel"
@@ -202,48 +203,35 @@ func bucketBatch(coef []field.Elem, m uint64, xs []uint64, out []uint64) {
 	}
 }
 
+// signBatch and float64Batch evaluate the row through the dispatched
+// kernel.PolyEvalBatch (SIMD for every k, the 4-wise AMS signs, 8-wise
+// stable uniforms and k-wise Lp scaling factors included), writing the raw
+// field values into out's own storage and then mapping them in place, so
+// no scratch is needed and nothing allocates. The kernel's values equal
+// evalPoly's exactly, so the results are bit-identical to the scalar paths.
 func signBatch(coef []field.Elem, xs []uint64, out []float64) {
-	out = out[:len(xs)]
-	switch len(coef) {
-	case 2:
-		c0, c1 := coef[0], coef[1]
-		for t, x := range xs {
-			out[t] = signFloat(field.Add(field.Mul(c1, field.New(x)), c0))
-		}
-	case 4:
-		c0, c1, c2, c3 := coef[0], coef[1], coef[2], coef[3]
-		for t, x := range xs {
-			xe := field.New(x)
-			acc := field.Add(field.Mul(c3, xe), c2)
-			acc = field.Add(field.Mul(acc, xe), c1)
-			out[t] = signFloat(field.Add(field.Mul(acc, xe), c0))
-		}
-	default:
-		for t, x := range xs {
-			out[t] = signFloat(evalPoly(coef, x))
-		}
+	vals := evalInto(coef, xs, out)
+	for t, v := range vals {
+		out[t] = signFloat(field.Elem(v))
 	}
 }
 
 func float64Batch(coef []field.Elem, xs []uint64, out []float64) {
-	out = out[:len(xs)]
-	switch len(coef) {
-	case 2:
-		c0, c1 := coef[0], coef[1]
-		for t, x := range xs {
-			out[t] = toUnit(field.Add(field.Mul(c1, field.New(x)), c0))
-		}
-	case 4:
-		c0, c1, c2, c3 := coef[0], coef[1], coef[2], coef[3]
-		for t, x := range xs {
-			xe := field.New(x)
-			acc := field.Add(field.Mul(c3, xe), c2)
-			acc = field.Add(field.Mul(acc, xe), c1)
-			out[t] = toUnit(field.Add(field.Mul(acc, xe), c0))
-		}
-	default:
-		for t, x := range xs {
-			out[t] = toUnit(evalPoly(coef, x))
-		}
+	vals := evalInto(coef, xs, out)
+	for t, v := range vals {
+		out[t] = toUnit(field.Elem(v))
 	}
+}
+
+// evalInto writes the row's field values at xs into out[:len(xs)]
+// reinterpreted as words (float64 and uint64 share size and alignment) and
+// returns that word view.
+func evalInto(coef []field.Elem, xs []uint64, out []float64) []uint64 {
+	out = out[:len(xs)]
+	if len(out) == 0 {
+		return nil
+	}
+	vals := unsafe.Slice((*uint64)(unsafe.Pointer(&out[0])), len(out))
+	kernel.PolyEvalBatch(field.Words(coef), xs, vals)
+	return vals
 }

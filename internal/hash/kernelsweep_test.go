@@ -32,7 +32,7 @@ func TestBatchVariantsMatchScalar(t *testing.T) {
 	for i := range keys {
 		keys[i] = r.Uint64()
 	}
-	for _, k := range []int{2, 3, 4, 6} {
+	for _, k := range []int{2, 3, 4, 6, 8, 20} {
 		h := NewFlatFamily(3, k, rand.New(rand.NewPCG(52, uint64(k))))
 		g := NewFlatFamily(3, k, rand.New(rand.NewPCG(53, uint64(k))))
 		sweepVariants(t, func(t *testing.T) {
@@ -44,6 +44,10 @@ func TestBatchVariantsMatchScalar(t *testing.T) {
 				fb := make([]uint64, len(keys))
 				fs := make([]float64, len(keys))
 				BucketSignBatch(h, g, j, 4096, keys, fb, fs)
+				signs := make([]float64, len(keys))
+				units := make([]float64, len(keys))
+				h.SignBatch(j, keys, signs)
+				h.Float64Batch(j, keys, units)
 				for i, x := range keys {
 					if want := h.Eval(j, x); out[i] != want {
 						t.Fatalf("k=%d row %d: EvalBatch[%d] = %#x, Eval = %#x", k, j, i, out[i], want)
@@ -53,6 +57,12 @@ func TestBatchVariantsMatchScalar(t *testing.T) {
 					}
 					if want := float64(g.Sign(j, x)); fs[i] != want {
 						t.Fatalf("k=%d row %d: signs[%d] = %v, Sign = %v", k, j, i, fs[i], want)
+					}
+					if want := float64(h.Sign(j, x)); signs[i] != want {
+						t.Fatalf("k=%d row %d: SignBatch[%d] = %v, Sign = %v", k, j, i, signs[i], want)
+					}
+					if want := h.Float64(j, x); units[i] != want {
+						t.Fatalf("k=%d row %d: Float64Batch[%d] = %v, Float64 = %v", k, j, i, units[i], want)
 					}
 				}
 			}

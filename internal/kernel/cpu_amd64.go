@@ -35,9 +35,6 @@ func fdScan12AVX2(d *[12]uint64, out []uint64)
 func syndromeAdd4AVX2(synd []uint64, d, a *[4]uint64)
 
 //go:noescape
-func affineExpandAVX2(a, b uint64, buf []uint64, lo, m int)
-
-//go:noescape
 func polyEvalBatchAVX512(coef []uint64, xs []uint64, out []uint64)
 
 //go:noescape
@@ -123,12 +120,12 @@ func detect() {
 	available = append(available, &avx512Table)
 }
 
-// avx2Table vectorizes the six PR-7 primitives at 4 lanes. The Go wrappers
-// route 4-lane blocks to assembly and delegate tails and degenerate shapes
-// to the scalar reference, so the assembly only ever sees its documented
-// preconditions. The counter scatter is the prefetched scalar-order loop —
-// baseline amd64 instructions, no AVX needed (AVX2 has gathers but no
-// scatter stores, so there is no 4-lane vector fold to have).
+// avx2Table vectorizes the five field primitives at 4 lanes. The Go
+// wrappers route 4-lane blocks to assembly and delegate tails and
+// degenerate shapes to the scalar reference, so the assembly only ever sees
+// its documented preconditions. The counter scatter is the prefetched
+// scalar-order loop — baseline amd64 instructions, no AVX needed (AVX2 has
+// gathers but no scatter stores, so there is no 4-lane vector fold to have).
 var avx2Table = table{
 	name:          AVX2,
 	polyEvalBatch: avx2PolyEvalBatch,
@@ -136,13 +133,12 @@ var avx2Table = table{
 	bucket2:       avx2Bucket2,
 	fdScan:        avx2FDScan,
 	syndromeAdd4:  avx2SyndromeAdd4,
-	affineExpand:  avx2AffineExpand,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
 }
 
 // avx512Table widens the modmul-bound primitives to 8 lanes. The
-// add-dominated primitives (fdScan, syndromeAdd4, affineExpand) inherit the
+// add-dominated primitives (fdScan, syndromeAdd4) inherit the
 // AVX2 kernels: they are latency- or store-forwarding-bound, so doubling
 // lane width buys nothing, and the 256-bit forms avoid license-based
 // frequency dips. The counter scatter keeps the prefetched scalar-order
@@ -159,7 +155,6 @@ var avx512Table = table{
 	bucket2:       avx512Bucket2,
 	fdScan:        avx2FDScan,
 	syndromeAdd4:  avx2SyndromeAdd4,
-	affineExpand:  avx2AffineExpand,
 	scatterAddF64: amd64ScatterAddF64,
 	scatterAddI64: amd64ScatterAddI64,
 }
@@ -227,21 +222,6 @@ func avx2SyndromeAdd4(synd []uint64, d, a [4]uint64) {
 		return
 	}
 	syndromeAdd4AVX2(synd, &d, &a)
-}
-
-func avx2AffineExpand(a, b uint64, buf []uint64, m int) {
-	lo := m
-	if m >= 4 {
-		// The assembly walks blocks of four descending to index lo = m%4;
-		// the sub-block tail below it follows, still in descending order.
-		lo = m & 3
-		affineExpandAVX2(a, b, buf, lo, m)
-	}
-	for i := lo - 1; i >= 0; i-- {
-		x := buf[i]
-		buf[2*i] = x
-		buf[2*i+1] = modAdd(modMul(a, x), b)
-	}
 }
 
 func avx512PolyEvalBatch(coef, xs, out []uint64) {

@@ -1,12 +1,12 @@
 // Package kernel is the runtime-dispatched vector-kernel layer under the
 // ingest/query hot paths. The primitives that dominate every sketch's
 // cycle budget — k-wise hash evaluation (internal/hash), mod-p polynomial
-// arithmetic (internal/field, internal/sparse), PRG block generation
-// (internal/prng) and the counter scatter under the count-sketch/count-min
-// folds — call through a per-primitive function table selected once at
-// init: the pure-Go scalar reference always exists, and SIMD variants
-// (AVX2 and AVX-512 on amd64, NEON on arm64) replace individual entries
-// when the CPU supports them.
+// arithmetic (internal/field, internal/sparse, and the L0 sampler's
+// per-level PRG maps in internal/core) and the counter scatter under the
+// count-sketch/count-min folds — call through a per-primitive function
+// table selected once at init: the pure-Go scalar reference always
+// exists, and SIMD variants (AVX2 and AVX-512 on amd64, NEON on arm64)
+// replace individual entries when the CPU supports them.
 //
 // All kernels operate on raw uint64 values carrying elements of GF(2^61-1)
 // in canonical form [0, Modulus) — the same representation as
@@ -73,10 +73,6 @@ type table struct {
 	// groups pass by value so the indirect dispatch call cannot force a
 	// caller's group registers to escape to the heap.
 	syndromeAdd4 func(synd []uint64, d, a [4]uint64)
-
-	// affineExpand doubles a Nisan subtree level in place: for i = m-1..0,
-	// buf[2i] = buf[i], buf[2i+1] = a·buf[i]+b. len(buf) must be ≥ 2m.
-	affineExpand func(a, b uint64, buf []uint64, m int)
 
 	// scatterAddF64 folds cells[idx[t]] += del[t] for t ascending — the
 	// count-sketch counter scatter. Per-cell accumulation order is batch
@@ -195,6 +191,3 @@ func FDScan(d, out []uint64) { active.Load().fdScan(d, out) }
 
 // SyndromeAdd4 folds four updates into the power-sum syndromes; see table.
 func SyndromeAdd4(synd []uint64, d, a [4]uint64) { active.Load().syndromeAdd4(synd, d, a) }
-
-// AffineExpand doubles one Nisan subtree level in place; see table.
-func AffineExpand(a, b uint64, buf []uint64, m int) { active.Load().affineExpand(a, b, buf, m) }

@@ -377,36 +377,3 @@ syndloop:
 	JNZ  syndloop
 	VZEROUPPER
 	RET
-
-// func affineExpandAVX2(a, b uint64, buf []uint64, lo, m int)
-// One Nisan subtree doubling level, indices i in [lo, m) with (m-lo)%4 == 0
-// and m-lo >= 4, descending so the in-place writes at 2i/2i+1 never clobber
-// unread state: buf[2i] = buf[i], buf[2i+1] = a*buf[i] + b.
-TEXT ·affineExpandAVX2(SB), NOSPLIT, $0-56
-	MOVQ         buf_base+16(FP), SI
-	MOVQ         lo+40(FP), R9
-	MOVQ         m+48(FP), R10
-	VPBROADCASTQ modP<>(SB), YP
-	BROADCAST_SPLIT(a+0(FP), Y14, Y13)
-	VPBROADCASTQ b+8(FP), Y12
-	SUBQ         $4, R10             // i = m-4
-
-blkloop:
-	VMOVDQU (SI)(R10*8), Y0          // x
-	MODMULC(Y0, Y14, Y13, Y1, Y2, Y3, Y4)
-	MODADD(Y1, Y12, Y1, Y2)          // y = a*x+b
-
-	// Interleave to (x0,y0,x1,y1 | x2,y2,x3,y3) and store at buf[2i].
-	VPUNPCKLQDQ Y1, Y0, Y2           // x0 y0 x2 y2
-	VPUNPCKHQDQ Y1, Y0, Y3           // x1 y1 x3 y3
-	VPERM2I128  $0x20, Y3, Y2, Y4    // x0 y0 x1 y1
-	VPERM2I128  $0x31, Y3, Y2, Y5    // x2 y2 x3 y3
-	LEAQ        (R10)(R10*1), R11
-	VMOVDQU     Y4, (SI)(R11*8)
-	VMOVDQU     Y5, 32(SI)(R11*8)
-
-	SUBQ $4, R10
-	CMPQ R10, R9
-	JGE  blkloop
-	VZEROUPPER
-	RET

@@ -249,28 +249,6 @@ func TestSyndromeAdd4Differential(t *testing.T) {
 	}
 }
 
-func TestAffineExpandDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(7006))
-	for _, vt := range vectorTables() {
-		for _, m := range []int{1, 2, 3, 4, 5, 6, 8, 16, 33} {
-			a, b := randCanonical(r), randCanonical(r)
-			buf := make([]uint64, 2*m)
-			for i := 0; i < m; i++ {
-				buf[i] = randCanonical(r)
-			}
-			ref := append([]uint64(nil), buf...)
-			scalarTable.affineExpand(a, b, ref, m)
-			vt.affineExpand(a, b, buf, m)
-			for i := range ref {
-				if ref[i] != buf[i] {
-					t.Fatalf("%s affineExpand m=%d: buf[%d] = %#x, scalar %#x",
-						vt.name, m, i, buf[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
 // TestDispatchEntryPoints drives every exported wrapper under each selectable
 // variant, checking the dispatch plumbing end to end.
 func TestDispatchEntryPoints(t *testing.T) {
@@ -298,12 +276,7 @@ func TestDispatchEntryPoints(t *testing.T) {
 		}
 		synd := make([]uint64, 6)
 		SyndromeAdd4(synd, du, au)
-		buf := make([]uint64, 8)
-		copy(buf, coef)
-		buf[3] = 1
-		AffineExpand(coef[0], coef[1], buf, 4)
 		flat := append(append(append(append([]uint64(nil), out...), buckets...), scan...), synd...)
-		flat = append(flat, buf...)
 		results = append(results, flat)
 	}
 	for i := 1; i < len(results); i++ {

@@ -18,7 +18,6 @@ var scalarTable = table{
 	bucket2:       scalarBucket2,
 	fdScan:        scalarFDScan,
 	syndromeAdd4:  scalarSyndromeAdd4,
-	affineExpand:  scalarAffineExpand,
 	scatterAddF64: scalarScatterAddF64,
 	scatterAddI64: scalarScatterAddI64,
 }
@@ -150,15 +149,5 @@ func scalarScatterAddI64(cells []int64, idx []uint64, del []int64) {
 	del = del[:len(idx)]
 	for t, b := range idx {
 		cells[b] += del[t]
-	}
-}
-
-func scalarAffineExpand(a, b uint64, buf []uint64, m int) {
-	// Descending order makes the doubling safe in place: writes at 2i and
-	// 2i+1 never land on a not-yet-read buf[k], k < i.
-	for i := m - 1; i >= 0; i-- {
-		x := buf[i]
-		buf[2*i] = x
-		buf[2*i+1] = modAdd(modMul(a, x), b)
 	}
 }

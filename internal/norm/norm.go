@@ -268,15 +268,16 @@ func (s *Stable) stableAt(j int, i uint64) float64 {
 }
 
 // cmsStable maps two independent uniforms in (0,1] to a standard symmetric
-// p-stable variate by the Chambers-Mallows-Stuck transform.
+// p-stable variate by the Chambers-Mallows-Stuck transform. At p = 1 (the
+// Cauchy case) the transform is tan(theta) and ignores u2.
 func cmsStable(p, u1, u2 float64) float64 {
 	theta := math.Pi * (u1 - 0.5) // uniform in (-pi/2, pi/2)
-	w := -math.Log(u2)            // exponential(1), u2 in (0,1] so w >= 0
-	if w == 0 {
-		w = 1e-300
-	}
 	if p == 1 {
 		return math.Tan(theta)
+	}
+	w := -math.Log(u2) // exponential(1), u2 in (0,1] so w >= 0
+	if w == 0 {
+		w = 1e-300
 	}
 	return math.Sin(p*theta) / math.Pow(math.Cos(theta), 1/p) *
 		math.Pow(math.Cos(theta*(1-p))/w, (1-p)/p)
@@ -309,9 +310,10 @@ func (s *Stable) growKeys(indices []uint64) {
 
 // AddFloatBatch applies the batch counter-major: each counter's 8-wise row
 // produces both CMS uniforms for the whole batch through the flat
-// Float64Batch kernel, then the transform and deltas fold in. State is
-// bit-identical to repeated AddFloat calls; steady-state calls allocate
-// nothing.
+// Float64Batch kernel, then the transform and deltas fold in. At p = 1 the
+// transform ignores the second uniform, so its row evaluation is skipped.
+// State is bit-identical to repeated AddFloat calls; steady-state calls
+// allocate nothing.
 func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
 	s.growKeys(indices)
 	n := len(indices)
@@ -319,7 +321,9 @@ func (s *Stable) AddFloatBatch(indices []uint64, deltas []float64) {
 	u1, u2 := s.scratchU1[:n], s.scratchU2[:n]
 	for j := range s.counters {
 		s.seeds.Float64Batch(j, k1, u1)
-		s.seeds.Float64Batch(j, k2, u2)
+		if s.p != 1 {
+			s.seeds.Float64Batch(j, k2, u2)
+		}
 		cj := s.counters[j]
 		for t := range u1 {
 			cj += cmsStable(s.p, u1[t], u2[t]) * deltas[t]

@@ -14,11 +14,19 @@
 // so G_d produces 2^d blocks of w bits from a seed of (2d+1)w bits. Crucially
 // the construction supports random access: block b is obtained from x0 by
 // applying h_j for every set bit j of b, top level first — O(d) field
-// operations per block. The L0 sampler exploits this to query level-membership
-// bits per update without materializing the stream of bits.
+// operations per block (Block, the reference definition).
 //
 // We realize blocks as elements of GF(2^61-1) (w = 61) and the pairwise
 // hashes as affine maps a*x+b over the field, the standard instantiation.
+// Affine maps compose into affine maps, so any stretch of the walk collapses
+// exactly into one map (A, B). Walk tables exploit this for batched access:
+// per c-bit slice of the address, the composed map of each of the slice's
+// 2^c values, so a block costs one table lookup plus one mul-add per slice
+// instead of one per address bit. The tables are working memory derived
+// from the seed — O(⌈d/c⌉·2^c) words, under 2 KiB at the serving shape —
+// never serialized and not counted in SpaceBits, like a sketch's scratch
+// buffers. The arithmetic is exact, so every table-composed block is
+// bit-identical to Block.
 package prng
 
 import (
@@ -26,28 +34,29 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/field"
-	"repro/internal/kernel"
 )
 
 // BlockBits is the width w of one output block.
 const BlockBits = 61
 
+// sliceBits is the slice width c of the walk tables: 2^c composed maps per
+// slice, one mul-add per slice per block.
+const sliceBits = 5
+
 // Nisan is an instance of Nisan's generator with random block access.
 //
 // Block and Bit are pure and safe for concurrent use. BlockBatch and
-// Float64Batch reuse a per-generator prefix stack and must not be called
-// concurrently with each other (one goroutine per generator, the same
-// discipline the sketches' scratch buffers already follow).
+// Float64Batch build the generator's walk tables on first use and must not
+// be called concurrently with each other (one goroutine per generator, the
+// same discipline the sketches' scratch buffers already follow).
 type Nisan struct {
 	depth int
 	x0    field.Elem
 	ha    []field.Elem // multipliers of h_1..h_depth
 	hb    []field.Elem // offsets of h_1..h_depth
 
-	// stack[l] holds the partial walk state after consuming address bits
-	// depth-1..l (stack[depth] = x0): the prefix stack of BlockBatch,
-	// allocated lazily and reused across calls.
-	stack []field.Elem
+	// flat is the full-address walk behind BlockBatch, built on first use.
+	flat *Walk
 }
 
 // New constructs a generator able to emit at least outputBits pseudorandom
@@ -100,149 +109,125 @@ func (g *Nisan) Block(b uint64) uint64 {
 	return uint64(x)
 }
 
-// BlockBatch writes Block(idx[t]) into dst[t] for every t, walking the
-// generator tree once with an explicit prefix stack instead of re-deriving
-// each block from x0.
-//
-// The walk keeps, for every tree level l, the state reached after applying
-// the hash functions selected by the address bits above l. Consecutive
-// addresses that share a high-bit prefix re-enter the walk at the first
-// differing bit (found with one XOR + Len64), so only the suffix below that
-// bit pays h_j applications.
-//
-// Long runs of consecutive addresses (16+ from a 16-aligned base — bulk
-// range generation, not the L0 sampler's ~dozen blocks per update, which
-// stay on the walk) take a subtree fast path: the run is decomposed greedily
-// into aligned power-of-two subtrees, and each subtree of height h is
-// expanded breadth-first in place inside dst by h doubling passes
-// (kernel.AffineExpand: node x becomes the pair x, h_l(x)), one kernel
-// dispatch per level instead of per address. Every output is the same exact
-// field-arithmetic composition Block computes, so results stay bit-identical
-// on all kernel backends; arbitrary orders remain correct, merely slower.
-// dst and idx must have equal length. Nothing allocates after the first call.
+// BlockBatch writes Block(idx[t]) into dst[t] for every t, in any order:
+// each block is one top-slice lookup plus one mul-add per lower c-bit slice
+// of its address through the generator's full-address walk tables (built on
+// the first call; nothing allocates after it). Addresses beyond Blocks()-1
+// wrap exactly like Block. dst and idx must have equal length.
 func (g *Nisan) BlockBatch(dst []uint64, idx []uint64) {
 	if len(dst) != len(idx) {
 		panic("prng: BlockBatch dst/idx length mismatch")
 	}
-	if len(idx) == 0 {
-		return
+	if g.flat == nil {
+		g.flat = g.NewWalk(0)
 	}
-	if g.stack == nil {
-		g.stack = make([]field.Elem, g.depth+1)
+	w := g.flat
+	for t, b := range idx {
+		dst[t] = uint64(w.Root(b))
 	}
-	var mask uint64
-	if g.depth > 0 {
-		mask = (1 << g.depth) - 1
+}
+
+// Affine is the map x -> A·x + B over GF(2^61-1). Every h_j is one, and so
+// is any composition of them.
+type Affine struct{ A, B field.Elem }
+
+// identity is the empty composition.
+var identity = Affine{A: 1}
+
+// Apply evaluates the map at x.
+func (f Affine) Apply(x field.Elem) field.Elem { return field.Add(field.Mul(f.A, x), f.B) }
+
+// then returns the composition "f, then h": x -> h(f(x)).
+func (f Affine) then(h Affine) Affine {
+	return Affine{A: field.Mul(h.A, f.A), B: h.Apply(f.B)}
+}
+
+// Walk holds the composed walk tables of a generator for addresses split as
+// b = hi·2^low + lo. Root(hi) is the walk state after the address bits above
+// low (x0 with the top slice already applied, then one mul-add per lower
+// c-bit slice of hi); Leaf(lo) is the composed map of the low bits, so
+// Block(b) == Leaf(lo).Apply(Root(hi)). A caller reading several blocks at
+// one hi — the L0 sampler's per-coordinate membership blocks — pays for the
+// root once and then one mul-add per block.
+type Walk struct {
+	hiMask   uint64
+	topShift int          // hi >> topShift selects the top-slice entry
+	top      []field.Elem // x0 walked through each top-slice value
+	mids     []Affine     // per lower slice (top-most first), 2^c maps each
+	leaf     []Affine     // one map per low-bit value
+}
+
+// NewWalk builds the walk tables for the given number of low address bits
+// (0 ≤ low ≤ Depth). The hi bits split into c-bit slices counted up from
+// bit low; the top slice takes the remainder (1..c bits, or none at all when
+// low == Depth). Building costs about 2^c compositions per slice — a few
+// hundred field multiplies.
+func (g *Nisan) NewWalk(low int) *Walk {
+	if low < 0 || low > g.depth {
+		panic("prng: walk low bits outside [0, depth]")
 	}
-	stack := g.stack
-	stack[g.depth] = g.x0
-	// The first query pays the full walk: start above the top level.
-	start := g.depth
-	var prev uint64
-	t := 0
-	for t < len(idx) {
-		b := idx[t] & mask
-		if t > 0 {
-			diff := prev ^ b
-			if diff == 0 {
-				dst[t] = dst[t-1]
-				t++
-				continue
-			}
-			// Bits depth-1..Len64(diff) agree with the previous address, so
-			// the stack is valid down to that level; resume there.
-			start = bits.Len64(diff)
+	hiBits := g.depth - low
+	nmid := 0
+	if hiBits > 0 {
+		nmid = (hiBits - 1) / sliceBits
+	}
+	topBits := hiBits - nmid*sliceBits
+	w := &Walk{
+		hiMask:   1<<hiBits - 1,
+		topShift: nmid * sliceBits,
+		top:      make([]field.Elem, 1<<topBits),
+		mids:     make([]Affine, nmid<<sliceBits),
+		leaf:     make([]Affine, 1<<low),
+	}
+	// Top slice: the values of x0 after the top topBits address bits,
+	// doubled level by level from the top (entry 2i keeps x, 2i+1 applies
+	// the next level's map) so entry v is x0 walked through the bits of v.
+	w.top[0] = g.x0
+	for j, m := g.depth-1, 1; m < len(w.top); j, m = j-1, 2*m {
+		h := Affine{g.ha[j], g.hb[j]}
+		for i := m - 1; i >= 0; i-- {
+			x := w.top[i]
+			w.top[2*i], w.top[2*i+1] = x, h.Apply(x)
 		}
-		// A subtree expansion only pays off from height 4 up, and an aligned
-		// height-4 subtree needs a 16-aligned base with at least 16
-		// consecutive addresses ahead — so the run scan probes exactly
-		// there. Everything else (the L0 sampler's ~dozen consecutive
-		// blocks per update included) takes the per-address re-entry walk
-		// at zero extra bookkeeping; a long unaligned run walks at most 15
-		// addresses before reaching an aligned probe point, and a failed
-		// probe costs at most 15 wasted comparisons.
-		run := 0
-		if b&15 == 0 {
-			run = 1
-			for t+run < len(idx) && b+uint64(run) <= mask && idx[t+run]&mask == b+uint64(run) {
-				run++
-			}
-			if run < 16 {
-				run = 0
-			}
-		}
-		if run == 0 {
-			x := stack[start]
-			for j := start; j >= 1; j-- {
-				if b&(1<<(j-1)) != 0 {
-					x = field.Add(field.Mul(g.ha[j-1], x), g.hb[j-1])
-				}
-				stack[j-1] = x
-			}
-			dst[t] = uint64(x)
-			prev = b
-			t++
-			continue
-		}
-		for run > 0 {
-			// Largest aligned subtree at b fitting in the run: height h with
-			// 2^h | b and 2^h <= run (TrailingZeros64(0) = 64 caps at depth).
-			h := bits.TrailingZeros64(b)
-			if h > g.depth {
-				h = g.depth
-			}
-			if lg := bits.Len64(uint64(run)) - 1; h > lg {
-				h = lg
-			}
-			// Subtree root: bits above max(start, h) already match the stack;
-			// walk the remaining bits start-1..h of b.
-			lvl := start
-			if h > lvl {
-				lvl = h
-			}
-			x := stack[lvl]
-			for j := lvl; j > h; j-- {
-				if b&(1<<(j-1)) != 0 {
-					x = field.Add(field.Mul(g.ha[j-1], x), g.hb[j-1])
-				}
-				stack[j-1] = x
-			}
-			// Breadth-first doubling, top level of the subtree first: after
-			// the level-l pass, seg[:2m] holds the nodes at level l-1 in
-			// address order, so h passes leave the 2^h block values in place.
-			n := 1 << h
-			seg := dst[t : t+n]
-			seg[0] = uint64(x)
-			for l := h; l >= 1; l-- {
-				m := 1 << (h - l)
-				if m < 8 {
-					// Below a vector's worth of nodes the dispatch + call
-					// overhead exceeds the handful of multiplies; inline the
-					// identical doubling (same ops, same canonical results).
-					a, hb := g.ha[l-1], g.hb[l-1]
-					for i := m - 1; i >= 0; i-- {
-						x := field.Elem(seg[i])
-						seg[2*i] = uint64(x)
-						seg[2*i+1] = uint64(field.Add(field.Mul(a, x), hb))
-					}
-					continue
-				}
-				kernel.AffineExpand(uint64(g.ha[l-1]), uint64(g.hb[l-1]), seg[:2*m], m)
-			}
-			// Leave the stack positioned at the subtree's last address (all
-			// low h bits set) so the next re-entry resumes correctly.
-			for j := h; j >= 1; j-- {
-				x = field.Add(field.Mul(g.ha[j-1], x), g.hb[j-1])
-				stack[j-1] = x
-			}
-			prev = b + uint64(n) - 1
-			t += n
-			run -= n
-			b += uint64(n)
-			start = bits.Len64(prev ^ b)
+	}
+	for s := 0; s < nmid; s++ {
+		lo := low + (nmid-1-s)*sliceBits
+		g.composeSlice(w.mids[s<<sliceBits:(s+1)<<sliceBits], lo)
+	}
+	g.composeSlice(w.leaf, 0)
+	return w
+}
+
+// composeSlice fills maps (length 2^c') with the composed map of every
+// value of the c' address bits starting at bit lo, top bit first — the same
+// in-place doubling as the top slice, over maps instead of values.
+func (g *Nisan) composeSlice(maps []Affine, lo int) {
+	maps[0] = identity
+	for j, m := lo+bits.Len(uint(len(maps)))-2, 1; m < len(maps); j, m = j-1, 2*m {
+		h := Affine{g.ha[j], g.hb[j]}
+		for i := m - 1; i >= 0; i-- {
+			f := maps[i]
+			maps[2*i], maps[2*i+1] = f, f.then(h)
 		}
 	}
 }
+
+// Root returns the walk state after the address bits above low of
+// hi·2^low, which is Block(hi·2^low) itself (the low bits are all zero).
+// Bits of hi beyond the generator's depth wrap, exactly like Block.
+func (w *Walk) Root(hi uint64) field.Elem {
+	hi &= w.hiMask
+	x := w.top[hi>>w.topShift]
+	for s, shift := 0, w.topShift; shift > 0; s++ {
+		shift -= sliceBits
+		x = w.mids[s<<sliceBits|int(hi>>shift&(1<<sliceBits-1))].Apply(x)
+	}
+	return x
+}
+
+// Leaf returns the composed map of the low address bits lo (taken mod
+// 2^low).
+func (w *Walk) Leaf(lo uint64) Affine { return w.leaf[lo&uint64(len(w.leaf)-1)] }
 
 // Float64Batch writes Float64At(idx[t]) into dst[t] via BlockBatch. The
 // membership hot paths avoid the float conversion entirely by comparing raw

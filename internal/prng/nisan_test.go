@@ -149,7 +149,7 @@ func TestBlockBatchZeroAlloc(t *testing.T) {
 	for i := range idx {
 		idx[i] = uint64(i) * 37
 	}
-	g.BlockBatch(dst, idx) // warm up the prefix stack
+	g.BlockBatch(dst, idx) // build the walk tables
 	if got := testing.AllocsPerRun(10, func() { g.BlockBatch(dst, idx) }); got != 0 {
 		t.Errorf("BlockBatch allocates %v times per call, want 0", got)
 	}
@@ -162,9 +162,11 @@ func BenchmarkBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockBatchRun measures the L0 fast path's access pattern: runs of
-// 16 consecutive blocks at a random base per "update". Compare against
-// BenchmarkBlockScalarRun, the same work through scalar Block calls.
+// BenchmarkBlockBatchRun measures BlockBatch on runs of 16 consecutive
+// blocks at a random base — the per-coordinate membership run of the L0
+// sampler, which itself reads it as one Root plus 16 leaf maps (see
+// BenchmarkWalkRun). Compare against BenchmarkBlockScalarRun, the same work
+// through scalar Block calls.
 func BenchmarkBlockBatchRun(b *testing.B) {
 	g := New(1<<30, rand.New(rand.NewPCG(1, 1)))
 	idx := make([]uint64, 16)
@@ -180,6 +182,24 @@ func BenchmarkBlockBatchRun(b *testing.B) {
 	b.ReportMetric(float64(b.N*16)/b.Elapsed().Seconds(), "blocks/s")
 }
 
+// BenchmarkWalkRun is the same 16-block run read the way the L0 sampler
+// reads it: one Root for the shared high bits, then one composed leaf map
+// per block.
+func BenchmarkWalkRun(b *testing.B) {
+	g := New(1<<30, rand.New(rand.NewPCG(1, 1)))
+	w := g.NewWalk(4)
+	var sink field.Elem
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root := w.Root(uint64(i) * 0x9E3779B97F4A7C15 >> 38)
+		for t := uint64(0); t < 16; t++ {
+			sink += w.Leaf(t).Apply(root)
+		}
+	}
+	_ = sink
+	b.ReportMetric(float64(b.N*16)/b.Elapsed().Seconds(), "blocks/s")
+}
+
 func BenchmarkBlockScalarRun(b *testing.B) {
 	g := New(1<<30, rand.New(rand.NewPCG(1, 1)))
 	var sink uint64
@@ -192,4 +212,73 @@ func BenchmarkBlockScalarRun(b *testing.B) {
 	}
 	_ = sink
 	b.ReportMetric(float64(b.N*16)/b.Elapsed().Seconds(), "blocks/s")
+}
+
+// TestWalkMatchesBlock pins the composed walk tables against the per-bit
+// definition for every split of the address: depth 0, depths that are and
+// are not multiples of the slice width, low-bit counts from 0 up to the
+// depth, and addresses at and beyond Blocks() (which wrap like Block).
+func TestWalkMatchesBlock(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 11))
+	for _, depth := range []int{0, 1, 2, sliceBits - 1, sliceBits, sliceBits + 1, 2 * sliceBits, 2*sliceBits + 3, 21, 26} {
+		g := New(uint64(1)<<depth*BlockBits, r)
+		if g.depth != depth {
+			t.Fatalf("New sized depth %d, want %d", g.depth, depth)
+		}
+		addrs := []uint64{0, 1, g.Blocks() - 1, g.Blocks(), g.Blocks() + 1, 3*g.Blocks() + 5, ^uint64(0)}
+		for i := 0; i < 200; i++ {
+			addrs = append(addrs, r.Uint64N(2*g.Blocks()))
+		}
+		// The leaf table has 2^low entries, so low stays small (the L0
+		// sampler's log2 stride is at most 6) except on shallow generators,
+		// where low == depth leaves no hi bits at all.
+		for low := 0; low <= depth; low++ {
+			if low > 7 && low < depth || low > 10 {
+				continue
+			}
+			w := g.NewWalk(low)
+			for _, b := range addrs {
+				want := g.Block(b)
+				if got := uint64(w.Leaf(b).Apply(w.Root(b >> low))); got != want {
+					t.Fatalf("depth %d low %d: walk block %d = %#x, Block = %#x", depth, low, b, got, want)
+				}
+				if low == 0 {
+					if got := uint64(w.Root(b)); got != want {
+						t.Fatalf("depth %d: Root(%d) = %#x, Block = %#x", depth, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWalkTableSize pins the working-memory claim: at the serving shape
+// (the n = 2^16 L0 sampler: depth 21, 4 low bits for a stride of 16) the
+// tables stay under 2 KiB.
+func TestWalkTableSize(t *testing.T) {
+	g := New(uint64(1)<<21*BlockBits, rand.New(rand.NewPCG(12, 12)))
+	w := g.NewWalk(4)
+	bytes := 8*len(w.top) + 16*len(w.mids) + 16*len(w.leaf)
+	if bytes >= 2048 {
+		t.Errorf("walk tables take %d bytes at depth 21, want under 2 KiB", bytes)
+	}
+}
+
+func TestNewWalkRejectsLowAboveDepth(t *testing.T) {
+	g := New(61*8, rand.New(rand.NewPCG(13, 13)))
+	defer func() {
+		if recover() == nil {
+			t.Error("NewWalk(depth+1) did not panic")
+		}
+	}()
+	g.NewWalk(g.depth + 1)
+}
+
+// BenchmarkNewWalk measures the table build — paid once per sampler, on
+// its first ingest.
+func BenchmarkNewWalk(b *testing.B) {
+	g := New(uint64(1)<<21*BlockBits, rand.New(rand.NewPCG(1, 1)))
+	for i := 0; i < b.N; i++ {
+		g.NewWalk(4)
+	}
 }

@@ -61,7 +61,7 @@ func TestPropertyBitConsistentWithBlock(t *testing.T) {
 	}
 }
 
-// TestPropertyBlockBatchMatchesBlock: the prefix-stack batch kernel must
+// TestPropertyBlockBatchMatchesBlock: the table-composed batch access must
 // agree with scalar Block for every index sequence — sorted, reversed,
 // duplicated or arbitrary — across generator depths (including depth 0 and
 // indices beyond Blocks(), which wrap exactly like Block).
