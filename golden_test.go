@@ -102,7 +102,6 @@ func TestGoldenDigests(t *testing.T) {
 	var cases []tc
 	for _, n := range []int{1, 2, 3, 5, 17, 300, 4096, 1 << 16, 1 << 20} {
 		for _, nested := range []bool{false, true} {
-			n, nested := n, nested
 			cases = append(cases, tc{
 				name: fmt.Sprintf("L0/n=%d/nested=%t", n, nested),
 				run:  func(t *testing.T) string { return l0Golden(t, n, nested) },
@@ -110,7 +109,6 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 	for _, p := range []float64{0.5, 1, 1.5} {
-		p := p
 		cases = append(cases, tc{
 			name: fmt.Sprintf("Lp/p=%g", p),
 			run:  func(t *testing.T) string { return lpGolden(t, p) },

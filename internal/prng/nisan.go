@@ -179,16 +179,11 @@ func (g *Nisan) NewWalk(low int) *Walk {
 		mids:     make([]Affine, nmid<<sliceBits),
 		leaf:     make([]Affine, 1<<low),
 	}
-	// Top slice: the values of x0 after the top topBits address bits,
-	// doubled level by level from the top (entry 2i keeps x, 2i+1 applies
-	// the next level's map) so entry v is x0 walked through the bits of v.
-	w.top[0] = g.x0
-	for j, m := g.depth-1, 1; m < len(w.top); j, m = j-1, 2*m {
-		h := Affine{g.ha[j], g.hb[j]}
-		for i := m - 1; i >= 0; i-- {
-			x := w.top[i]
-			w.top[2*i], w.top[2*i+1] = x, h.Apply(x)
-		}
+	// Top slice: x0 walked through each value of the top topBits bits.
+	top := make([]Affine, len(w.top))
+	g.composeSlice(top, g.depth-topBits)
+	for v, f := range top {
+		w.top[v] = f.Apply(g.x0)
 	}
 	for s := 0; s < nmid; s++ {
 		lo := low + (nmid-1-s)*sliceBits
@@ -199,8 +194,9 @@ func (g *Nisan) NewWalk(low int) *Walk {
 }
 
 // composeSlice fills maps (length 2^c') with the composed map of every
-// value of the c' address bits starting at bit lo, top bit first — the same
-// in-place doubling as the top slice, over maps instead of values.
+// value of the c' address bits starting at bit lo, top bit first, by
+// in-place doubling from the top level down: entry 2i keeps map i and
+// entry 2i+1 appends the next level's h_j to it.
 func (g *Nisan) composeSlice(maps []Affine, lo int) {
 	maps[0] = identity
 	for j, m := lo+bits.Len(uint(len(maps)))-2, 1; m < len(maps); j, m = j-1, 2*m {
